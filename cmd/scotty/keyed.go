@@ -1,99 +1,68 @@
 // Keyed mode: -keyed partitions the stream by key and windows every key's
-// sub-stream independently through core.Keyed. With -mem-budget the per-key
-// state is bounded: cold keys spill to -spill-dir and re-hydrate
-// transparently (docs/MEMORY.md). The single-operator mode in main.go is
-// unaffected.
+// sub-stream independently through core.Keyed, on the same run loop as the
+// unkeyed modes. With -mem-budget the per-key state is bounded: cold keys
+// spill to -spill-dir and re-hydrate transparently (docs/MEMORY.md).
 package main
 
 import (
-	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	"scotty/internal/aggregate"
-	"scotty/internal/checkpoint"
 	"scotty/internal/core"
 	"scotty/internal/spill"
 	"scotty/internal/stream"
-	"scotty/internal/window"
 )
 
-// keyedEnv carries one keyed scotty run's aggregation-independent plumbing
-// into runKeyed (the keyed counterpart of queryEnv).
-type keyedEnv struct {
-	lateness int64
-	store    core.StoreKind
-	ordered  bool
-	multi    bool // several queries: prefix rows with q<id>
-	budget   int64
-	spillDir string
-	ckptDir  string
-	wm       stream.Watermarker
-	rb       *rebaser
-	ms       *metricsServer
-	demo     int
-	ooo      float64
-	ctx      context.Context
-	stdin    io.Reader
-	stdout   io.Writer
-	stderr   io.Writer
+// keyedMode ingests stream.Tuple values. A CSV line may carry the key as an
+// int32 third field ("ts,value,key", default key 0); more fields reject it.
+var keyedMode = mode[stream.Tuple]{
+	val:   stream.Val,
+	keyOf: func(t stream.Tuple) int32 { return t.Key },
+	demo:  func(t stream.Tuple) stream.Tuple { return t },
+	parse: func(v float64, rest []string) (stream.Tuple, bool) {
+		if len(rest) == 0 {
+			return stream.Tuple{V: v}, true
+		}
+		key, err := strconv.ParseInt(strings.TrimSpace(rest[0]), 10, 32)
+		return stream.Tuple{Key: int32(key), V: v}, err == nil && len(rest) == 1
+	},
 }
 
-// runKeyed takes the window set as a factory, not a slice: ContextFree
-// definitions carry their trigger-cursor state, so every per-key operator
-// needs its own fresh instances — a shared definition would advance one
-// cursor for all keys and silence every operator but the first to trigger.
-func runKeyed[A any, Out any](newDefs func() []window.Definition, f aggregate.Function[stream.Tuple, A, Out], q keyedEnv) int {
-	rb, ms, stderr := q.rb, q.ms, q.stderr
-	opts := core.Options{Lateness: q.lateness, Store: q.store, Ordered: q.ordered}
-	if ms != nil {
-		opts.Metrics = ms.reg
-	}
-	// Validate the query set once up front: newOp runs per key and must not
-	// fail mid-stream.
-	probe := core.New(f, opts)
-	for _, def := range newDefs() {
-		if _, err := probe.AddQuery(def); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-	k := core.NewKeyed(func(v stream.Tuple) int32 { return v.Key }, 0, func() *core.Aggregator[stream.Tuple, A, Out] {
-		ag := core.New(f, opts)
-		for _, def := range newDefs() {
-			ag.MustAddQuery(def)
+// runKeyed takes the operator as a factory: every key gets its own operator
+// with fresh window definitions, since ContextFree definitions carry their
+// trigger-cursor state — a shared definition would advance one cursor for
+// all keys and silence every operator but the first to trigger.
+func runKeyed[V, A, Out any](e *env, m mode[V], newOp func() (*core.Aggregator[V, A, Out], error)) int {
+	k := core.NewKeyed(m.keyOf, 0, func() *core.Aggregator[V, A, Out] {
+		ag, err := newOp()
+		if err != nil {
+			panic(fmt.Sprintf("scotty: validated query set failed: %v", err))
 		}
 		return ag
 	})
 
-	if q.budget > 0 {
-		dir := q.spillDir
+	if e.budget > 0 {
+		dir := e.spillDir
 		scratch := dir == ""
 		if scratch {
 			dir = filepath.Join(os.TempDir(), fmt.Sprintf("scotty-spill-%d", os.Getpid()))
 		}
 		st, err := spill.Open(dir)
 		if err != nil {
-			fmt.Fprintf(stderr, "spill: %v\n", err)
+			fmt.Fprintf(e.stderr, "spill: %v\n", err)
 			return 1
 		}
-		cfg := core.SpillConfig{Budget: q.budget, Store: st}
-		if ms != nil {
-			cfg.Metrics = ms.reg
-		}
-		if err := k.EnableSpill(cfg); err != nil {
-			fmt.Fprintf(stderr, "spill: %v\n", err)
+		if err := k.EnableSpill(core.SpillConfig{Budget: e.budget, Store: st, Metrics: e.opts.Metrics}); err != nil {
+			fmt.Fprintf(e.stderr, "spill: %v\n", err)
 			return 2
 		}
 		defer func() {
 			resident, cold, bytes := k.SpillStats()
-			fmt.Fprintf(stderr, "spill: %d keys resident, %d cold, %d bytes on disk at exit\n", resident, cold, bytes)
+			fmt.Fprintf(e.stderr, "spill: %d keys resident, %d cold, %d bytes on disk at exit\n", resident, cold, bytes)
 			//lint:ignore errflow spill blobs are scratch; a failed sweep leaves garbage, not state
 			_ = st.Clear()
 			if scratch {
@@ -103,178 +72,9 @@ func runKeyed[A any, Out any](newDefs func() []window.Definition, f aggregate.Fu
 		}()
 	}
 
-	ckptPath := ""
-	if q.ckptDir != "" {
-		if err := os.MkdirAll(q.ckptDir, 0o755); err != nil {
-			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
-			return 1
+	return runLoop(e, m, k, func(w io.Writer, rs []core.KeyedResult[int32, Out]) {
+		for i := range rs {
+			writeRow(w, e, rs[i].Key, &rs[i].Result)
 		}
-		ckptPath = filepath.Join(q.ckptDir, "final.sck")
-		if data, err := os.ReadFile(ckptPath); err == nil {
-			if err := restoreKeyedFinal(k, rb, data); err != nil {
-				fmt.Fprintf(stderr, "checkpoint: ignoring %s: %v\n", ckptPath, err)
-			} else {
-				fmt.Fprintf(stderr, "checkpoint: restored state from %s\n", ckptPath)
-			}
-		}
-	}
-
-	out := bufio.NewWriter(q.stdout)
-	defer out.Flush()
-	emit := func(rs []core.KeyedResult[int32, Out]) {
-		for _, r := range rs {
-			tag := ""
-			if r.Update {
-				tag = "  (update)"
-			}
-			s, e := r.Start, r.End
-			if r.Measure == stream.Time {
-				s, e = rb.unshift(s), rb.unshift(e)
-			}
-			if q.multi {
-				fmt.Fprintf(out, "k%d\tq%d\t[%d, %d)\t n=%d\t %v%s\n", r.Key, r.Query, s, e, r.N, r.Value, tag)
-			} else {
-				fmt.Fprintf(out, "k%d\t[%d, %d)\t n=%d\t %v%s\n", r.Key, s, e, r.N, r.Value, tag)
-			}
-		}
-	}
-	process := func(it stream.Item[stream.Tuple]) {
-		if it.Kind == stream.KindEvent {
-			emit(k.ProcessElement(it.Event))
-			return
-		}
-		emit(k.ProcessWatermark(it.Watermark))
-		out.Flush()
-	}
-
-	if ms != nil {
-		ms.ready.Store(true) // the run loop is up: /healthz turns ready
-	}
-	if q.demo > 0 {
-		events := stream.Apply(stream.Disorder{Fraction: q.ooo, MaxDelay: 2000, Seed: 7},
-			stream.Generate(stream.Football(), q.demo, 1))
-		for _, it := range stream.Prepare(q.wm, events) {
-			if q.ctx.Err() != nil {
-				break
-			}
-			// Withhold the closing MaxTime watermark, as in the unkeyed
-			// path: shutdown snapshots first, then drains.
-			if it.Kind == stream.KindWatermark && it.Watermark == stream.MaxTime {
-				break
-			}
-			process(it)
-		}
-	} else {
-		feedKeyedCSV(q.ctx, q.stdin, stderr, q.wm, rb, process)
-	}
-
-	if ckptPath != "" {
-		start := time.Now()
-		data, err := sealKeyedFinal(k, rb)
-		if err == nil {
-			err = writeFileAtomic(ckptPath, data)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "checkpoint: wrote %s (%d bytes) in %v\n", ckptPath, len(data), time.Since(start).Round(time.Millisecond))
-	}
-	emit(k.ProcessWatermark(stream.MaxTime))
-	out.Flush()
-	return 0
-}
-
-// sealKeyedFinal and restoreKeyedFinal mirror sealFinal/restoreFinal for the
-// keyed operator, with the same outer frame (rebase offset + state). Cold
-// keys' blobs fold into the snapshot, so a budgeted run's checkpoint is
-// complete regardless of what happened to be spilled at shutdown.
-func sealKeyedFinal[A any, Out any](k *core.Keyed[int32, stream.Tuple, A, Out], rb *rebaser) ([]byte, error) {
-	state, err := k.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	enc := checkpoint.NewEncoder()
-	enc.Int64(rb.off)
-	enc.Bool(rb.set)
-	enc.Bytes(state)
-	return enc.Seal(), nil
-}
-
-func restoreKeyedFinal[A any, Out any](k *core.Keyed[int32, stream.Tuple, A, Out], rb *rebaser, data []byte) error {
-	dec, err := checkpoint.NewDecoder(data)
-	if err != nil {
-		return err
-	}
-	off := dec.Int64()
-	set := dec.Bool()
-	state := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := k.Restore(state); err != nil {
-		return err
-	}
-	rb.off, rb.set = off, set
-	return nil
-}
-
-// feedKeyedCSV parses "timestamp-ms,value[,key]" lines (key defaults to 0)
-// and hands each event — interleaved with due watermarks — to op, exactly
-// like feedCSV does for the unkeyed path.
-func feedKeyedCSV(ctx context.Context, stdin io.Reader, stderr io.Writer, wm stream.Watermarker, rb *rebaser, op func(stream.Item[stream.Tuple])) {
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		sc := bufio.NewScanner(stdin)
-		for sc.Scan() {
-			select {
-			case lines <- sc.Text():
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	feeder := stream.NewFeeder[stream.Tuple](wm)
-	var buf []stream.Item[stream.Tuple]
-	seq := int64(0)
-	for {
-		var line string
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case line, ok = <-lines:
-		}
-		if !ok {
-			break
-		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) < 2 || len(parts) > 3 {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-			continue
-		}
-		ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
-		v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		key := int64(0)
-		var err3 error
-		if len(parts) == 3 {
-			key, err3 = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 32)
-		}
-		if err1 != nil || err2 != nil || err3 != nil {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
-			continue
-		}
-		buf = feeder.Feed(buf[:0], stream.Event[stream.Tuple]{
-			Time: rb.shift(ts), Seq: seq, Value: stream.Tuple{Key: int32(key), V: v},
-		})
-		seq++
-		for _, it := range buf {
-			op(it)
-		}
-	}
+	})
 }

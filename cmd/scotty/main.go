@@ -101,27 +101,19 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintln(stderr, "-backpressure: only block is supported with -keyed (per-key state makes event drops key-skewed)")
 		return 2
 	}
-	if *breaker && *keyed {
-		fmt.Fprintln(stderr, "-breaker is not supported with -keyed")
-		return 2
-	}
 	if *dlqDir != "" && !*breaker {
 		fmt.Fprintln(stderr, "-dlq-dir requires -breaker")
 		return 2
 	}
 
-	var defs []window.Definition
+	var specs []winSpec
 	var step int64
 	if *windows != "" {
-		defs, step = parseWindows(*windows, *keyed, stderr)
-	} else {
-		var def window.Definition
-		def, step = makeWindow(*winType, *length, *slide, *gap, *keyed, stderr)
-		if def != nil {
-			defs = []window.Definition{def}
-		}
+		specs, step = parseWindows(*windows, stderr)
+	} else if spec, s, ok := makeWindow(*winType, *length, *slide, *gap, stderr); ok {
+		specs, step = []winSpec{spec}, s
 	}
-	if len(defs) == 0 {
+	if len(specs) == 0 {
 		return 2
 	}
 	if *budget > 0 && !*keyed {
@@ -159,161 +151,43 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 	}
 
-	var ms *metricsServer
+	e := &env{
+		opts:  core.Options{Lateness: *lateness, Store: kind, Ordered: ordered},
+		specs: specs, fleet: *windows != "" && !*keyed,
+		policy: policy, demo: *demo, ooo: *ooo,
+		budget: *budget, spillDir: *spillDir, ckptDir: *ckptDir, breaker: *breaker, dlqDir: *dlqDir,
+		wm:  stream.Watermarker{Period: *wmEvery, Lag: 2001},
+		ctx: ctx, stdin: stdin, stdout: stdout, stderr: stderr,
+	}
 	if *metrics != "" {
-		var err error
-		if ms, err = startMetrics(*metrics, stderr); err != nil {
+		if e.ms, err = startMetrics(*metrics, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer ms.stop()
+		defer e.ms.stop()
+		e.opts.Metrics = e.ms.reg
 	}
-
-	wm := stream.Watermarker{Period: *wmEvery, Lag: 2001}
 	// Epoch-scale timestamps are rebased before they reach the operator:
 	// window starts are absolute multiples of the slide, so a tumbling or
 	// sliding query fed raw epoch milliseconds would otherwise emit (and
 	// walk) hundreds of millions of a-priori-empty windows between time
 	// zero and the first tuple. Shifting by a multiple of the slide maps
 	// onto the identical window family; the offset is added back on output.
-	rb := &rebaser{step: step, margin: wm.Lag + *lateness}
-	var runItems func(op func(stream.Item[float64]))
-	if *demo > 0 {
-		events := demoEvents(*demo, *ooo)
-		runItems = func(op func(stream.Item[float64])) {
-			for _, it := range stream.Prepare(wm, events) {
-				if ctx.Err() != nil {
-					return
-				}
-				// The stream's closing MaxTime watermark is withheld
-				// here (as in feedCSV): shutdown drains the operator
-				// itself, after the resumable snapshot is taken.
-				if it.Kind == stream.KindWatermark && it.Watermark == stream.MaxTime {
-					return
-				}
-				op(it)
-			}
-		}
-	} else {
-		// CSV input streams: each line is parsed, watermarked, and
-		// processed as it arrives, so a live -metrics endpoint observes
-		// the run in progress instead of a post-hoc summary.
-		runItems = func(op func(stream.Item[float64])) {
-			feedCSV(ctx, stdin, stderr, wm, rb, op)
-		}
-	}
+	e.rb = &rebaser{step: step, margin: e.wm.Lag + *lateness}
+	// Keyed rows carry the query id only when several queries share a key;
+	// unkeyed -windows rows always do, since they come from the fleet.
+	e.keyRows, e.queryRows = *keyed, *windows != "" && (!*keyed || len(specs) > 1)
 
-	// A non-block policy decouples ingest from processing through a bounded
-	// ops.Edge: the feed goroutine parses and sends, the operator loop
-	// receives, and under overload whole events are dropped by the policy —
-	// counted, never silent. Watermarks are control flow and never dropped.
-	if policy != ops.Block {
-		var dropCounter *obs.Counter
-		if ms != nil {
-			dropCounter = ms.reg.Counter("scotty_events_dropped_total", obs.L("reason", policy.String()))
-		}
-		var droppedEvents atomic.Int64
-		inner := runItems
-		runItems = func(op func(stream.Item[float64])) {
-			edge := ops.NewEdge(ops.EdgeConfig[stream.Item[float64]]{
-				Capacity: ingestQueueLen,
-				Policy:   policy,
-				CanDrop:  func(it stream.Item[float64]) bool { return it.Kind == stream.KindEvent },
-				OnDrop: func(stream.Item[float64]) {
-					droppedEvents.Add(1)
-					if dropCounter != nil {
-						dropCounter.Inc()
-					}
-				},
-			})
-			go func() {
-				inner(func(it stream.Item[float64]) { edge.Send(it) })
-				edge.Close()
-			}()
-			for {
-				it, ok := edge.Recv()
-				if !ok {
-					return
-				}
-				op(it)
-			}
-		}
-		defer func() {
-			if n := droppedEvents.Load(); n > 0 {
-				fmt.Fprintf(stderr, "backpressure: dropped %d events (%s)\n", n, policy)
-			}
-		}()
+	if !*keyed {
+		return runMode(e, *aggName, unkeyed)
 	}
-
-	if *keyed {
-		if *windows != "" {
-			// Per-key operators register the fleet members as plain
-			// concurrent queries; the cross-query sharing rewrite
-			// (dedup/factor windows) applies to the unkeyed fleet only.
-			fmt.Fprintln(stderr, "keyed mode: -windows members run as unshared concurrent queries per key")
-		}
-		kq := keyedEnv{
-			lateness: *lateness, store: kind, ordered: ordered, multi: len(defs) > 1,
-			budget: *budget, spillDir: *spillDir, ckptDir: *ckptDir,
-			wm: wm, rb: rb, ms: ms, demo: *demo, ooo: *ooo,
-			ctx: ctx, stdin: stdin, stdout: stdout, stderr: stderr,
-		}
-		// Each per-key operator needs fresh window definitions (the trigger
-		// cursor lives in the definition); the set was validated above, so
-		// re-parsing cannot fail.
-		newDefs := func() []window.Definition {
-			if *windows != "" {
-				ds, _ := parseWindows(*windows, true, io.Discard)
-				return ds
-			}
-			def, _ := makeWindow(*winType, *length, *slide, *gap, true, io.Discard)
-			return []window.Definition{def}
-		}
-		switch *aggName {
-		case "sum":
-			return runKeyed(newDefs, aggregate.Sum(stream.Val), kq)
-		case "count":
-			return runKeyed(newDefs, aggregate.Count[stream.Tuple](), kq)
-		case "mean":
-			return runKeyed(newDefs, aggregate.Mean(stream.Val), kq)
-		case "min":
-			return runKeyed(newDefs, aggregate.Min(stream.Val), kq)
-		case "max":
-			return runKeyed(newDefs, aggregate.Max(stream.Val), kq)
-		case "median":
-			return runKeyed(newDefs, aggregate.Median(stream.Val), kq)
-		case "p90":
-			return runKeyed(newDefs, aggregate.Percentile(0.9, stream.Val), kq)
-		case "m4":
-			return runKeyed(newDefs, aggregate.M4(stream.Val), kq)
-		default:
-			fmt.Fprintf(stderr, "unknown aggregation %q\n", *aggName)
-			return 2
-		}
+	if *windows != "" {
+		// Per-key operators register the fleet members as plain
+		// concurrent queries; the cross-query sharing rewrite
+		// (dedup/factor windows) applies to the unkeyed fleet only.
+		fmt.Fprintln(stderr, "keyed mode: -windows members run as unshared concurrent queries per key")
 	}
-
-	q := queryEnv{lateness: *lateness, store: kind, ordered: ordered, fleet: *windows != "", ckptDir: *ckptDir, breaker: *breaker, dlqDir: *dlqDir, runItems: runItems, rb: rb, ms: ms, stdout: stdout, stderr: stderr}
-	switch *aggName {
-	case "sum":
-		return runQuery(defs, aggregate.Sum[float64](ident), q)
-	case "count":
-		return runQuery(defs, aggregate.Count[float64](), q)
-	case "mean":
-		return runQuery(defs, aggregate.Mean[float64](ident), q)
-	case "min":
-		return runQuery(defs, aggregate.Min[float64](ident), q)
-	case "max":
-		return runQuery(defs, aggregate.Max[float64](ident), q)
-	case "median":
-		return runQuery(defs, aggregate.Median[float64](ident), q)
-	case "p90":
-		return runQuery(defs, aggregate.Percentile[float64](0.9, ident), q)
-	case "m4":
-		return runQuery(defs, aggregate.M4[float64](ident), q)
-	default:
-		fmt.Fprintf(stderr, "unknown aggregation %q\n", *aggName)
-		return 2
-	}
+	return runMode(e, *aggName, keyedMode)
 }
 
 // ingestQueueLen is the -backpressure ingest edge's capacity in items. Tight
@@ -402,33 +276,53 @@ func (ms *metricsServer) seriesTotal(name string) int64 {
 
 func (ms *metricsServer) stop() { ms.srv.Close() }
 
-func ident(v float64) float64 { return v }
+// winSpec is one validated window query. It is not a definition: each
+// per-key operator needs fresh ones, and session windows are typed by the
+// value the operator ingests.
+type winSpec struct {
+	def func() window.Definition // nil for a session window
+	gap int64
+}
 
-// makeWindow builds the window definition and reports the rebase step: the
+// makeWindow validates one window query and reports the rebase step: the
 // slide for time-measure periodic windows (whose edges are absolute multiples
 // of it), 0 for windows that are translation-invariant (sessions) or rank-
-// based (count) and need no rebasing. Session windows are typed by the tuple
-// the operator ingests, so keyed runs need the keyed variant.
-func makeWindow(kind string, length, slide, gap int64, keyed bool, stderr io.Writer) (window.Definition, int64) {
+// based (count) and need no rebasing.
+func makeWindow(kind string, length, slide, gap int64, stderr io.Writer) (winSpec, int64, bool) {
 	switch kind {
 	case "tumbling":
-		return window.Tumbling(stream.Time, length), length
+		return winSpec{def: func() window.Definition { return window.Tumbling(stream.Time, length) }}, length, true
 	case "sliding":
 		if slide <= 0 {
 			slide = length / 2
 		}
-		return window.Sliding(stream.Time, length, slide), slide
+		return winSpec{def: func() window.Definition { return window.Sliding(stream.Time, length, slide) }}, slide, true
 	case "session":
-		if keyed {
-			return window.Session[stream.Tuple](gap), 0
-		}
-		return window.Session[float64](gap), 0
+		return winSpec{gap: gap}, 0, true
 	case "count":
-		return window.Tumbling(stream.Count, length), 0
+		return winSpec{def: func() window.Definition { return window.Tumbling(stream.Count, length) }}, 0, true
 	default:
 		fmt.Fprintf(stderr, "unknown window type %q\n", kind)
-		return nil, 0
+		return winSpec{}, 0, false
 	}
+}
+
+// addQueries registers fresh definitions of the window set on op.
+func addQueries[V any](op interface {
+	AddQuery(window.Definition) (int, error)
+}, specs []winSpec) error {
+	for _, s := range specs {
+		var def window.Definition
+		if s.def != nil {
+			def = s.def()
+		} else {
+			def = window.Session[V](s.gap)
+		}
+		if _, err := op.AddQuery(def); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseWindows parses the -windows fleet list. Each entry is kind:params with
@@ -438,8 +332,8 @@ func makeWindow(kind string, length, slide, gap int64, keyed bool, stderr io.Wri
 // periodic member's step (and is then also a multiple of every factor
 // window's, whose length divides a member slide) for the shifted window
 // families to map one-to-one onto the absolute ones.
-func parseWindows(list string, keyed bool, stderr io.Writer) ([]window.Definition, int64) {
-	var defs []window.Definition
+func parseWindows(list string, stderr io.Writer) ([]winSpec, int64) {
+	var specs []winSpec
 	var step int64
 	for _, item := range strings.Split(list, ",") {
 		item = strings.TrimSpace(item)
@@ -470,18 +364,18 @@ func parseWindows(list string, keyed bool, stderr io.Writer) ([]window.Definitio
 			fmt.Fprintf(stderr, "-windows: malformed entry %q (want kind:length[:slide], session:gap, or count:n)\n", item)
 			return nil, 0
 		}
-		def, s := makeWindow(parts[0], length, slide, gap, keyed, stderr)
-		if def == nil {
+		spec, s, ok := makeWindow(parts[0], length, slide, gap, stderr)
+		if !ok {
 			return nil, 0
 		}
-		defs = append(defs, def)
+		specs = append(specs, spec)
 		step = lcmStep(step, s)
 	}
-	if len(defs) == 0 {
+	if len(specs) == 0 {
 		fmt.Fprintln(stderr, "-windows: empty window list")
 		return nil, 0
 	}
-	return defs, step
+	return specs, step
 }
 
 // lcmStep folds one member's rebase step into the fleet-wide one. Zero means
@@ -537,61 +431,126 @@ func (rb *rebaser) shift(ts int64) int64 {
 
 func (rb *rebaser) unshift(t int64) int64 { return t + rb.off }
 
-// queryEnv carries the aggregation-independent plumbing of one scotty run
-// into runQuery, which is generic over the aggregate's partial/result types.
-type queryEnv struct {
-	lateness int64
-	store    core.StoreKind
-	ordered  bool
-	fleet    bool
-	ckptDir  string
-	breaker  bool
-	dlqDir   string
-	runItems func(func(stream.Item[float64]))
-	rb       *rebaser
-	ms       *metricsServer
-	stdout   io.Writer
-	stderr   io.Writer
+// env carries one run's validated flags, rebaser, metrics server and I/O into
+// the run path, which is generic over the value and aggregate types.
+type env struct {
+	opts      core.Options
+	specs     []winSpec
+	fleet     bool // an unkeyed -windows run shares the set through a fleet
+	policy    ops.Policy
+	demo      int
+	ooo       float64
+	budget    int64
+	spillDir  string
+	ckptDir   string
+	breaker   bool
+	dlqDir    string
+	wm        stream.Watermarker
+	rb        *rebaser
+	keyRows   bool // prefix rows with k<key>
+	queryRows bool // prefix rows with q<id>
+	ms        *metricsServer
+	ctx       context.Context
+	stdin     io.Reader
+	stdout    io.Writer
+	stderr    io.Writer
 }
 
-// operator abstracts the two run shapes over one processing surface: a single
-// window on a bare slicing core, or a -windows fleet sharing physical work
-// across its members (dedup + factor-window rewrite, docs/SHARING.md). Both
-// satisfy it with identical method sets, so the run loop, the metrics
-// publisher, and the checkpoint seal/restore path are written once.
-type operator[Out any] interface {
-	ProcessElement(stream.Event[float64]) []core.Result[Out]
-	ProcessWatermark(int64) []core.Result[Out]
-	SliceSnapshot() []core.SliceInfo
+// mode is what separates an unkeyed run, whose operator ingests float64
+// values, from a -keyed one, whose operator ingests keyed stream.Tuple values.
+type mode[V any] struct {
+	val   func(V) float64      // the value the aggregate reads
+	keyOf func(V) int32        // partitions a keyed run; nil when unkeyed
+	demo  func(stream.Tuple) V // a generated demo event's value
+	// parse builds the event value from a CSV line's value and the fields
+	// after it; ok=false rejects the line as malformed.
+	parse func(v float64, rest []string) (V, bool)
+}
+
+// unkeyed runs stay on float64: a stream.Tuple would widen every tuple the
+// operator stores by a key it never reads.
+var unkeyed = mode[float64]{
+	val:  func(v float64) float64 { return v },
+	demo: stream.Val,
+	// Unkeyed lines ignore any fields after the value.
+	parse: func(v float64, _ []string) (float64, bool) { return v, true },
+}
+
+// runMode resolves the -agg name over the mode's value type.
+func runMode[V any](e *env, agg string, m mode[V]) int {
+	switch agg {
+	case "sum":
+		return runAgg(e, m, aggregate.Sum(m.val))
+	case "count":
+		return runAgg(e, m, aggregate.Count[V]())
+	case "mean":
+		return runAgg(e, m, aggregate.Mean(m.val))
+	case "min":
+		return runAgg(e, m, aggregate.Min(m.val))
+	case "max":
+		return runAgg(e, m, aggregate.Max(m.val))
+	case "median":
+		return runAgg(e, m, aggregate.Median(m.val))
+	case "p90":
+		return runAgg(e, m, aggregate.Percentile(0.9, m.val))
+	case "m4":
+		return runAgg(e, m, aggregate.M4(m.val))
+	default:
+		fmt.Fprintf(e.stderr, "unknown aggregation %q\n", agg)
+		return 2
+	}
+}
+
+// runAgg builds the run's operator — per-key operators for -keyed, a sharing
+// fleet for -windows, a bare slicing core otherwise — and runs it.
+func runAgg[V, A, Out any](e *env, m mode[V], f aggregate.Function[V, A, Out]) int {
+	newOp := func() (*core.Aggregator[V, A, Out], error) {
+		ag := core.New(f, e.opts)
+		return ag, addQueries[V](ag, e.specs)
+	}
+	var op operator[V, core.Result[Out]]
+	var err error
+	if e.fleet {
+		fl := fleet.New(f, fleet.Options{Options: e.opts})
+		if err = addQueries[V](fl, e.specs); err == nil {
+			fmt.Fprintf(e.stderr, "%s\n", fl)
+		}
+		op = fl
+	} else {
+		// A keyed run builds this operator only to validate the query set
+		// up front: its per-key operators are built mid-stream.
+		op, err = newOp()
+	}
+	if err != nil {
+		fmt.Fprintln(e.stderr, err)
+		return 2
+	}
+	if m.keyOf != nil {
+		return runKeyed(e, m, newOp)
+	}
+	return runLoop(e, m, op, func(w io.Writer, rs []core.Result[Out]) {
+		for i := range rs {
+			writeRow(w, e, 0, &rs[i])
+		}
+	})
+}
+
+// operator is the processing surface every run shape shares: a single window
+// on a bare slicing core, a -windows fleet sharing physical work across its
+// members (dedup + factor-window rewrite, docs/SHARING.md), or the per-key
+// operators of -keyed. The run loop, the checkpoint seal/restore path, and
+// the drain are written once over it.
+type operator[V, R any] interface {
+	ProcessElement(stream.Event[V]) []R
+	ProcessWatermark(int64) []R
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
 }
 
-func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[float64, A, Out], q queryEnv) int {
-	rb, ms, stdout, stderr := q.rb, q.ms, q.stdout, q.stderr
-	opts := core.Options{Lateness: q.lateness, Store: q.store, Ordered: q.ordered}
-	if ms != nil {
-		opts.Metrics = ms.reg
-	}
-	var ag operator[Out]
-	if q.fleet {
-		fl := fleet.New(f, fleet.Options{Options: opts})
-		for _, def := range defs {
-			if _, err := fl.AddQuery(def); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-		}
-		fmt.Fprintf(stderr, "%s\n", fl)
-		ag = fl
-	} else {
-		ca := core.New(f, opts)
-		if _, err := ca.AddQuery(defs[0]); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		ag = ca
-	}
+// runLoop runs op over the run's source: restore, process through the
+// buffered or guarded egress, seal and drain. format renders a result batch.
+func runLoop[V, R any](e *env, m mode[V], op operator[V, R], format func(io.Writer, []R)) int {
+	rb, ms, stderr := e.rb, e.ms, e.stderr
 
 	// The same recovery metric series the dataflow engine exposes, so a
 	// scraped scotty run reports its checkpoint activity under familiar
@@ -599,20 +558,20 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 	// size and write latency.
 	var recoveries *obs.Counter
 	var ckptBytes, ckptDurMS *obs.Histogram
-	if ms != nil && q.ckptDir != "" {
+	if ms != nil && e.ckptDir != "" {
 		recoveries = ms.reg.Counter("engine_recoveries_total")
 		ckptBytes = ms.reg.Histogram("checkpoint_bytes", obs.ExponentialBounds(64, 4, 12))
 		ckptDurMS = ms.reg.Histogram("checkpoint_duration_ms", nil)
 	}
 	ckptPath := ""
-	if q.ckptDir != "" {
-		if err := os.MkdirAll(q.ckptDir, 0o755); err != nil {
+	if e.ckptDir != "" {
+		if err := os.MkdirAll(e.ckptDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 			return 1
 		}
-		ckptPath = filepath.Join(q.ckptDir, "final.sck")
+		ckptPath = filepath.Join(e.ckptDir, "final.sck")
 		if data, err := os.ReadFile(ckptPath); err == nil {
-			if err := restoreFinal(ag, rb, data); err != nil {
+			if err := restoreFinal(op, rb, data); err != nil {
 				fmt.Fprintf(stderr, "checkpoint: ignoring %s: %v\n", ckptPath, err)
 			} else {
 				fmt.Fprintf(stderr, "checkpoint: restored state from %s\n", ckptPath)
@@ -623,35 +582,18 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 		}
 	}
 
-	out := bufio.NewWriter(stdout)
+	out := bufio.NewWriter(e.stdout)
 	defer out.Flush()
 	var sink *rowSink
-	if q.breaker {
+	if e.breaker {
 		var err error
-		if sink, err = newRowSink(stdout, q.dlqDir, ms, stderr); err != nil {
+		if sink, err = newRowSink(e.stdout, e.dlqDir, ms, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer sink.finish(stderr)
 	}
-	formatRows := func(w io.Writer, rs []core.Result[Out]) {
-		for _, r := range rs {
-			tag := ""
-			if r.Update {
-				tag = "  (update)"
-			}
-			s, e := r.Start, r.End
-			if r.Measure == stream.Time {
-				s, e = rb.unshift(s), rb.unshift(e)
-			}
-			if q.fleet {
-				fmt.Fprintf(w, "q%d\t[%d, %d)\t n=%d\t %v%s\n", r.Query, s, e, r.N, r.Value, tag)
-			} else {
-				fmt.Fprintf(w, "[%d, %d)\t n=%d\t %v%s\n", s, e, r.N, r.Value, tag)
-			}
-		}
-	}
-	emit := func(rs []core.Result[Out]) {
+	emit := func(rs []R) {
 		if sink != nil {
 			// Guarded egress writes each result batch straight to the
 			// underlying writer (the sticky bufio error state would defeat
@@ -660,35 +602,37 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 				return
 			}
 			var buf bytes.Buffer
-			formatRows(&buf, rs)
+			format(&buf, rs)
 			sink.write(buf.Bytes(), len(rs))
 			return
 		}
-		formatRows(out, rs)
+		format(out, rs)
 	}
-	snapshot := func() []core.SliceInfo {
-		sl := ag.SliceSnapshot()
-		for i := range sl {
-			sl[i].Start = rb.unshift(sl[i].Start)
-			sl[i].End = rb.unshift(sl[i].End)
+	// /debug/slices serves the slice layout of core and fleet operators.
+	publish := func() {}
+	if sl, ok := op.(interface{ SliceSnapshot() []core.SliceInfo }); ok && ms != nil {
+		publish = func() {
+			s := sl.SliceSnapshot()
+			for i := range s {
+				s[i].Start = rb.unshift(s[i].Start)
+				s[i].End = rb.unshift(s[i].End)
+			}
+			ms.slices.Store(s)
 		}
-		return sl
 	}
 	if ms != nil {
 		ms.ready.Store(true) // the run loop is up: /healthz turns ready
 	}
-	q.runItems(func(it stream.Item[float64]) {
+	readErr := feed(e, m, func(it stream.Item[V]) {
 		if it.Kind == stream.KindEvent {
-			emit(ag.ProcessElement(it.Event))
+			emit(op.ProcessElement(it.Event))
 			return
 		}
-		emit(ag.ProcessWatermark(it.Watermark))
+		emit(op.ProcessWatermark(it.Watermark))
 		// Watermarks bound the output and debug staleness for a streaming
 		// source: flush emitted rows and publish a fresh slice snapshot.
 		out.Flush()
-		if ms != nil {
-			ms.slices.Store(snapshot())
-		}
+		publish()
 	})
 
 	// Shutdown: snapshot first, then drain. The snapshot captures the
@@ -698,7 +642,7 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 	// windows once the continuation stream completes them for real.
 	if ckptPath != "" {
 		start := time.Now()
-		data, err := sealFinal(ag, rb)
+		data, err := sealFinal(op, rb)
 		if err == nil {
 			err = writeFileAtomic(ckptPath, data)
 		}
@@ -712,12 +656,35 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 		}
 		fmt.Fprintf(stderr, "checkpoint: wrote %s (%d bytes)\n", ckptPath, len(data))
 	}
-	emit(ag.ProcessWatermark(stream.MaxTime))
+	emit(op.ProcessWatermark(stream.MaxTime))
 	out.Flush()
-	if ms != nil {
-		ms.slices.Store(snapshot())
+	publish()
+	if readErr != nil {
+		fmt.Fprintf(stderr, "input: %v\n", readErr)
+		return 1
 	}
 	return 0
+}
+
+// writeRow renders one result row as "[start, end)\t n=N\t value", prefixed
+// with k<key> in keyed runs and with q<id> where several queries share the
+// output. Time bounds are shifted back by the rebase offset.
+func writeRow[Out any](w io.Writer, e *env, key int32, r *core.Result[Out]) {
+	tag := ""
+	if r.Update {
+		tag = "  (update)"
+	}
+	s, end := r.Start, r.End
+	if r.Measure == stream.Time {
+		s, end = e.rb.unshift(s), e.rb.unshift(end)
+	}
+	if e.keyRows {
+		fmt.Fprintf(w, "k%d\t", key)
+	}
+	if e.queryRows {
+		fmt.Fprintf(w, "q%d\t", r.Query)
+	}
+	fmt.Fprintf(w, "[%d, %d)\t n=%d\t %v%s\n", s, end, r.N, r.Value, tag)
 }
 
 // sealFinal wraps the operator snapshot together with the rebase offset.
@@ -725,11 +692,13 @@ func runQuery[A any, Out any](defs []window.Definition, f aggregate.Function[flo
 // resumed run must keep shifting by the same offset: recomputing it from the
 // continuation's first (later) event would misalign the restored state and
 // the new tuples, and every printed bound would be off by the difference.
-// The fleet and core snapshot codecs are distinct (a fleet snapshot nests the
-// core's plus the sharing plan), so a checkpoint written by one run shape is
-// rejected — and ignored with a warning — when restored by the other.
-func sealFinal[Out any](ag operator[Out], rb *rebaser) ([]byte, error) {
-	state, err := ag.Snapshot()
+// The core, fleet and keyed snapshot codecs are distinct (a fleet snapshot
+// nests the core's plus the sharing plan), so a checkpoint written by one run
+// shape is rejected — and ignored with a warning — when restored by another.
+// A keyed snapshot folds cold keys' spilled blobs in, so a budgeted run's
+// checkpoint is complete whatever was spilled at shutdown.
+func sealFinal[V, R any](op operator[V, R], rb *rebaser) ([]byte, error) {
+	state, err := op.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -740,10 +709,10 @@ func sealFinal[Out any](ag operator[Out], rb *rebaser) ([]byte, error) {
 	return enc.Seal(), nil
 }
 
-// restoreFinal is the inverse of sealFinal: operator state into ag, the
+// restoreFinal is the inverse of sealFinal: operator state into op, the
 // recorded rebase offset into rb (pinned, so the first continuation event
 // does not recompute it).
-func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
+func restoreFinal[V, R any](op operator[V, R], rb *rebaser, data []byte) error {
 	dec, err := checkpoint.NewDecoder(data)
 	if err != nil {
 		return err
@@ -754,7 +723,7 @@ func restoreFinal[Out any](ag operator[Out], rb *rebaser, data []byte) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := ag.Restore(state); err != nil {
+	if err := op.Restore(state); err != nil {
 		return err
 	}
 	rb.off, rb.set = off, set
@@ -782,17 +751,17 @@ func writeFileAtomic(path string, data []byte) error {
 // killing or silently truncating it. Delivery is at-least-once: a batch whose
 // write failed midway may reappear whole in the DLQ.
 type rowSink struct {
-	w        io.Writer
-	stderr   io.Writer
-	guard    ops.Guard
-	brk      *ops.Breaker
-	dlq      *ops.DLQ
-	dead     *obs.Counter
-	deadRows atomic.Int64
+	w      io.Writer
+	stderr io.Writer
+	guard  ops.Guard
+	brk    *ops.Breaker
+	dlq    *ops.DLQ
+	dead   *obs.Counter
 }
 
 func newRowSink(w io.Writer, dlqDir string, ms *metricsServer, stderr io.Writer) (*rowSink, error) {
-	s := &rowSink{w: w, stderr: stderr, brk: ops.NewBreaker(ops.BreakerConfig{})}
+	// dead counts for the exit summary; with -metrics it is the served series.
+	s := &rowSink{w: w, stderr: stderr, brk: ops.NewBreaker(ops.BreakerConfig{}), dead: &obs.Counter{}}
 	s.guard = ops.Guard{Breaker: s.brk}
 	if ms != nil {
 		s.dead = ms.reg.Counter("scotty_rows_dead_lettered_total")
@@ -821,10 +790,7 @@ func (s *rowSink) write(rows []byte, n int) {
 	if err == nil {
 		return
 	}
-	s.deadRows.Add(int64(n))
-	if s.dead != nil {
-		s.dead.Add(int64(n))
-	}
+	s.dead.Add(int64(n))
 	if s.dlq != nil {
 		if aerr := s.dlq.Append(ops.Record{Reason: err.Error(), Count: n, Payload: rows}); aerr != nil {
 			fmt.Fprintf(s.stderr, "dlq: %v\n", aerr)
@@ -835,7 +801,7 @@ func (s *rowSink) write(rows []byte, n int) {
 // finish prints the loss summary and releases the DLQ handle.
 func (s *rowSink) finish(stderr io.Writer) {
 	trips, recoveries := s.brk.Counts()
-	if n := s.deadRows.Load(); n > 0 || trips > 0 {
+	if n := s.dead.Value(); n > 0 || trips > 0 {
 		fmt.Fprintf(stderr, "breaker: %d rows dead-lettered (trips %d, recoveries %d)\n", n, trips, recoveries)
 	}
 	if s.dlq != nil {
@@ -845,73 +811,156 @@ func (s *rowSink) finish(stderr io.Writer) {
 	}
 }
 
-func demoEvents(demo int, ooo float64) []stream.Event[float64] {
+// feed runs the demo stream or stdin's CSV lines into op, behind the
+// -backpressure edge for a non-block policy, and returns the read error. No
+// source emits the closing MaxTime watermark: shutdown drains the operator
+// itself, after the resumable snapshot, which must not see MaxTime as the
+// restored watermark position.
+func feed[V any](e *env, m mode[V], op func(stream.Item[V])) error {
+	source := func(send func(stream.Item[V])) error {
+		if e.demo == 0 {
+			return feedCSV(e, m, send)
+		}
+		for _, it := range stream.Prepare(e.wm, demoEvents(e.demo, e.ooo, m.demo)) {
+			if e.ctx.Err() != nil || it.Kind == stream.KindWatermark && it.Watermark == stream.MaxTime {
+				return nil
+			}
+			send(it)
+		}
+		return nil
+	}
+	if e.policy == ops.Block {
+		return source(op)
+	}
+
+	// A non-block policy decouples ingest from processing through a bounded
+	// ops.Edge: the feed goroutine parses and sends, the operator loop
+	// receives, and under overload whole events are dropped by the policy —
+	// counted, never silent. Watermarks are control flow and never dropped.
+	cfg := ops.EdgeConfig[stream.Item[V]]{
+		Capacity: ingestQueueLen,
+		Policy:   e.policy,
+		CanDrop:  func(it stream.Item[V]) bool { return it.Kind == stream.KindEvent },
+	}
+	if e.ms != nil {
+		drops := e.ms.reg.Counter("scotty_events_dropped_total", obs.L("reason", e.policy.String()))
+		cfg.OnDrop = func(stream.Item[V]) { drops.Inc() }
+	}
+	edge := ops.NewEdge(cfg)
+	var err error
+	go func() {
+		err = source(func(it stream.Item[V]) { edge.Send(it) })
+		edge.Close()
+	}()
+	for {
+		it, ok := edge.Recv()
+		if !ok {
+			break
+		}
+		op(it)
+	}
+	if n := edge.Dropped(); n > 0 {
+		fmt.Fprintf(e.stderr, "backpressure: dropped %d events (%s)\n", n, e.policy)
+	}
+	return err
+}
+
+func demoEvents[V any](demo int, ooo float64, val func(stream.Tuple) V) []stream.Event[V] {
 	raw := stream.Generate(stream.Football(), demo, 1)
-	ev := make([]stream.Event[float64], len(raw))
+	ev := make([]stream.Event[V], len(raw))
 	for i, e := range raw {
-		ev[i] = stream.Event[float64]{Time: e.Time, Seq: e.Seq, Value: e.Value.V}
+		ev[i] = stream.Event[V]{Time: e.Time, Seq: e.Seq, Value: val(e.Value)}
 	}
 	return stream.Apply(stream.Disorder{Fraction: ooo, MaxDelay: 2000, Seed: 7}, ev)
 }
 
-// feedCSV parses "timestamp-ms,value" lines as they arrive and hands each
-// event — interleaved with due watermarks — to op immediately. Timestamps
-// are rebased before the watermarker so epoch-scale inputs stay cheap.
-// Canceling ctx abandons the (possibly blocked) read and returns without the
-// Close watermark: shutdown drains the operator explicitly, and the snapshot
-// written there must not see MaxTime as the restored watermark position.
-func feedCSV(ctx context.Context, stdin io.Reader, stderr io.Writer, wm stream.Watermarker, rb *rebaser, op func(stream.Item[float64])) {
-	// The scanner blocks in Read with no way to interrupt it, so it runs in
+// maxLine bounds an input line; a longer one is reported and skipped.
+const maxLine = 64 << 10
+
+// inputLine is one line read; an over-long one arrives as its head, marked long.
+type inputLine struct {
+	text string
+	long bool
+}
+
+// feedCSV parses "timestamp-ms,value[,...]" lines as they arrive and hands
+// each event — interleaved with due watermarks — to op immediately, so a live
+// -metrics endpoint observes the run in progress. Timestamps are rebased
+// before the watermarker so epoch-scale inputs stay cheap. Canceling ctx
+// abandons the (possibly blocked) read.
+func feedCSV[V any](e *env, m mode[V], op func(stream.Item[V])) error {
+	// The reader blocks in Read with no way to interrupt it, so it runs in
 	// its own goroutine; the processing loop below stays responsive to ctx.
 	// After cancellation the goroutine parks on the unbuffered send until
 	// the input closes — for a real process that is at exit anyway.
-	lines := make(chan string)
+	lines := make(chan inputLine)
+	var readErr error
 	go func() {
 		defer close(lines)
-		sc := bufio.NewScanner(stdin)
-		for sc.Scan() {
-			select {
-			case lines <- sc.Text():
-			case <-ctx.Done():
+		br := bufio.NewReaderSize(e.stdin, maxLine)
+		for {
+			b, err := br.ReadSlice('\n')
+			l := inputLine{long: err == bufio.ErrBufferFull}
+			if l.long {
+				b = b[:64] // the head quoted in the report
+			}
+			l.text = string(b)
+			for err == bufio.ErrBufferFull { // the rest of an over-long line
+				_, err = br.ReadSlice('\n')
+			}
+			if l.text != "" {
+				select {
+				case lines <- l:
+				case <-e.ctx.Done():
+					return
+				}
+			}
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
+				}
 				return
 			}
 		}
 	}()
-	feeder := stream.NewFeeder[float64](wm)
-	var buf []stream.Item[float64]
+	feeder := stream.NewFeeder[V](e.wm)
+	var buf []stream.Item[V]
 	seq := int64(0)
 	for {
-		var line string
+		var l inputLine
 		var ok bool
 		select {
-		case <-ctx.Done():
-			return
-		case line, ok = <-lines:
+		case <-e.ctx.Done():
+			return nil
+		case l, ok = <-lines:
 		}
 		if !ok {
-			break
+			return readErr
 		}
-		line = strings.TrimSpace(line)
+		if l.long {
+			fmt.Fprintf(e.stderr, "skipping malformed line: %q... (%d bytes or more)\n", l.text, maxLine)
+			continue
+		}
+		line := strings.TrimSpace(l.text)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		parts := strings.Split(line, ",")
 		if len(parts) < 2 {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
+			fmt.Fprintf(e.stderr, "skipping malformed line: %q\n", line)
 			continue
 		}
 		ts, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
 		v, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err1 != nil || err2 != nil {
-			fmt.Fprintf(stderr, "skipping malformed line: %q\n", line)
+		val, ok := m.parse(v, parts[2:])
+		if err1 != nil || err2 != nil || !ok {
+			fmt.Fprintf(e.stderr, "skipping malformed line: %q\n", line)
 			continue
 		}
-		buf = feeder.Feed(buf[:0], stream.Event[float64]{Time: rb.shift(ts), Seq: seq, Value: v})
+		buf = feeder.Feed(buf[:0], stream.Event[V]{Time: e.rb.shift(ts), Seq: seq, Value: val})
 		seq++
 		for _, it := range buf {
 			op(it)
 		}
 	}
-	// No feeder.Close here: EOF and cancellation share the shutdown path in
-	// runQuery, which snapshots the resumable state and then drains.
 }

@@ -2,14 +2,17 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -253,58 +256,89 @@ func TestWindowsCheckpointRestoreResumesFleet(t *testing.T) {
 	}
 }
 
+// csvModes are the two CSV line formats tests run in: unkeyed "ts,value"
+// lines, and keyed "ts,value,key" lines whose rows carry k7.
+var csvModes = []struct {
+	name, line, row string
+	args            []string
+}{
+	{"unkeyed", "%d,1\n", "", nil},
+	{"keyed", "%d,1,7\n", "k7\t", []string{"-keyed"}},
+}
+
+// stripRowPrefix checks that every row of output starts with prefix and
+// returns the output without it.
+func stripRowPrefix(t *testing.T, output, prefix string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, line := range strings.Split(strings.TrimRight(output, "\n"), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			t.Fatalf("row %q lacks prefix %q", line, prefix)
+		}
+		b.WriteString(rest + "\n")
+	}
+	return b.String()
+}
+
 // TestCancelDrainsAndWritesCheckpoint drives run() the way a SIGINT does:
 // cancel the context mid-stream (stdin still open, scanner blocked) and
 // require a clean exit that flushed pending windows and wrote final.sck.
 func TestCancelDrainsAndWritesCheckpoint(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	dir := t.TempDir()
-	var out, errOut syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run(ctx, []string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}, pr, &out, &errOut)
-	}()
+	for _, mode := range csvModes {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			dir := t.TempDir()
+			var out, errOut syncBuffer
+			done := make(chan int, 1)
+			go func() {
+				args := append([]string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}, mode.args...)
+				done <- run(ctx, args, pr, &out, &errOut)
+			}()
 
-	// Stream 10s of events; the 2001ms watermark lag means rows for the
-	// early windows appear (and are flushed) while the feed is running.
-	for ts := int64(0); ts <= 10_000; ts += 250 {
-		if _, err := fmt.Fprintf(pw, "%d,1\n", ts); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(out.String(), "[0, 1000)") {
-		if time.Now().After(deadline) {
-			t.Fatalf("no window rows before cancel; stdout %q stderr %q", out.String(), errOut.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+			// Stream 10s of events; the 2001ms watermark lag means rows for
+			// the early windows appear (and are flushed) while the feed is
+			// running.
+			for ts := int64(0); ts <= 10_000; ts += 250 {
+				if _, err := fmt.Fprintf(pw, mode.line, ts); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for !strings.Contains(out.String(), mode.row+"[0, 1000)") {
+				if time.Now().After(deadline) {
+					t.Fatalf("no window rows before cancel; stdout %q stderr %q", out.String(), errOut.String())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 
-	cancel() // the signal: stdin is still open, the scanner still blocked
-	var code int
-	select {
-	case code = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after cancel")
-	}
-	if code != 0 {
-		t.Fatalf("canceled run exited %d: %s", code, errOut.String())
-	}
-	// The drain must have emitted the windows the watermark had not reached
-	// yet — the last full window ends at 10000 and only a MaxTime flush
-	// closes it this early.
-	if !strings.Contains(out.String(), "[9000, 10000)") {
-		t.Fatalf("pending windows not drained on cancel:\n%s", out.String())
-	}
-	checkRows(t, out.String())
-	if !strings.Contains(errOut.String(), "checkpoint: wrote") {
-		t.Fatalf("no final checkpoint logged: %s", errOut.String())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "final.sck")); err != nil {
-		t.Fatalf("final.sck missing: %v", err)
+			cancel() // the signal: stdin is still open, the scanner still blocked
+			var code int
+			select {
+			case code = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not return after cancel")
+			}
+			if code != 0 {
+				t.Fatalf("canceled run exited %d: %s", code, errOut.String())
+			}
+			// The drain must have emitted the windows the watermark had not
+			// reached yet — the last full window ends at 10000 and only a
+			// MaxTime flush closes it this early.
+			if !strings.Contains(out.String(), mode.row+"[9000, 10000)") {
+				t.Fatalf("pending windows not drained on cancel:\n%s", out.String())
+			}
+			checkRows(t, stripRowPrefix(t, out.String(), mode.row))
+			if !strings.Contains(errOut.String(), "checkpoint: wrote") {
+				t.Fatalf("no final checkpoint logged: %s", errOut.String())
+			}
+			if _, err := os.Stat(filepath.Join(dir, "final.sck")); err != nil {
+				t.Fatalf("final.sck missing: %v", err)
+			}
+		})
 	}
 }
 
@@ -317,36 +351,134 @@ func TestCancelDrainsAndWritesCheckpoint(t *testing.T) {
 // window bound shifted by the difference.
 func TestCheckpointRestoreResumesRun(t *testing.T) {
 	const t0 = int64(1722470400000) // 2024-08-01 00:00:00 UTC, ms
-	dir := t.TempDir()
-	args := []string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}
-	feed := func(offsets ...int64) string {
-		var b strings.Builder
-		for _, off := range offsets {
-			fmt.Fprintf(&b, "%d,1\n", t0+off)
+	for _, mode := range csvModes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}, mode.args...)
+			feed := func(offsets ...int64) string {
+				var b strings.Builder
+				for _, off := range offsets {
+					fmt.Fprintf(&b, mode.line, t0+off)
+				}
+				return b.String()
+			}
+
+			var out1, err1 strings.Builder
+			if code := run(context.Background(), args, strings.NewReader(feed(0, 500, 1500, 2500)), &out1, &err1); code != 0 {
+				t.Fatalf("first run exited %d: %s", code, err1.String())
+			}
+			if want := fmt.Sprintf("%s[%d, %d)", mode.row, t0, t0+1000); !strings.Contains(out1.String(), want) {
+				t.Fatalf("first run missing window %s:\n%s", want, out1.String())
+			}
+			if !strings.Contains(err1.String(), "checkpoint: wrote") {
+				t.Fatalf("first run wrote no checkpoint: %s", err1.String())
+			}
+
+			var out2, err2 strings.Builder
+			if code := run(context.Background(), args, strings.NewReader(feed(3500, 4500, 9000)), &out2, &err2); code != 0 {
+				t.Fatalf("second run exited %d: %s", code, err2.String())
+			}
+			if !strings.Contains(err2.String(), "checkpoint: restored state from") {
+				t.Fatalf("second run did not restore: %s", err2.String())
+			}
+			if want := fmt.Sprintf("%s[%d, %d)", mode.row, t0+4000, t0+5000); !strings.Contains(out2.String(), want) {
+				t.Fatalf("restored run missing continuation window %s (rebase offset not resumed?):\n%s", want, out2.String())
+			}
+		})
+	}
+}
+
+// TestInputReadFaults pins how the reader treats a faulty input stream, in
+// both line formats: a line over the 64 KiB read limit is reported as
+// malformed and skipped, and the lines after it are still read; any other
+// read error is reported and fails the run, but only after the drain has
+// printed every window the input reached.
+func TestInputReadFaults(t *testing.T) {
+	for _, mode := range csvModes {
+		t.Run(mode.name, func(t *testing.T) {
+			args := append([]string{"-window", "tumbling", "-length", "5000", "-agg", "count"}, mode.args...)
+			var in, long strings.Builder
+			for i := 0; i < 300; i++ {
+				if i == 100 {
+					long.WriteString(strings.Repeat("9", 70_000) + ",1\n")
+				}
+				fmt.Fprintf(&in, mode.line, i*100)
+				fmt.Fprintf(&long, mode.line, i*100)
+			}
+			want := runScotty(t, args, in.String())
+			if rows := checkRows(t, stripRowPrefix(t, want, mode.row)); rows != 6 {
+				t.Fatalf("expected 6 tumbling windows, got %d:\n%s", rows, want)
+			}
+
+			var out, errOut strings.Builder
+			if code := run(context.Background(), args, strings.NewReader(long.String()), &out, &errOut); code != 0 {
+				t.Fatalf("run with an over-long line exited %d: %s", code, errOut.String())
+			}
+			if out.String() != want {
+				t.Fatalf("an over-long line changed the output:\n%s\nwant:\n%s", out.String(), want)
+			}
+			if !strings.Contains(errOut.String(), `skipping malformed line: "9999`) {
+				t.Fatalf("over-long line not reported: %.200s", errOut.String())
+			}
+
+			out.Reset()
+			errOut.Reset()
+			failing := io.MultiReader(strings.NewReader(in.String()), iotest.ErrReader(errors.New("injected read failure")))
+			if code := run(context.Background(), args, failing, &out, &errOut); code == 0 {
+				t.Fatal("a read error must fail the run")
+			}
+			if out.String() != want {
+				t.Fatalf("a read error skipped the drain:\n%s\nwant:\n%s", out.String(), want)
+			}
+			if !strings.Contains(errOut.String(), "injected read failure") {
+				t.Fatalf("read error not reported: %s", errOut.String())
+			}
+		})
+	}
+}
+
+// TestKeyedKeyZeroMatchesUnkeyed pins that keyed and unkeyed runs share one
+// pipeline: a keyed run whose lines all carry key 0 prints exactly the
+// unkeyed run's bytes with k0 before each row. The input is epoch-scale
+// (rebased), with idle gaps that close sessions and 20% of events delayed by
+// up to 2200ms, past the watermark lag, so late events emit update rows.
+func TestKeyedKeyZeroMatchesUnkeyed(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type event struct{ arrival, ts, v int64 }
+	events := make([]event, 3000)
+	ts := int64(1722470404321)
+	for i := range events {
+		ts += 1 + rng.Int63n(40)
+		if rng.Intn(100) == 0 {
+			ts += 1500
 		}
-		return b.String()
+		e := event{arrival: ts, ts: ts, v: rng.Int63n(100)}
+		if rng.Float64() < 0.2 {
+			e.arrival += rng.Int63n(2200)
+		}
+		events[i] = e
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].arrival < events[j].arrival })
+	var plain, keyed strings.Builder
+	for _, e := range events {
+		fmt.Fprintf(&plain, "%d,%d\n", e.ts, e.v)
+		fmt.Fprintf(&keyed, "%d,%d,0\n", e.ts, e.v)
 	}
 
-	var out1, err1 strings.Builder
-	if code := run(context.Background(), args, strings.NewReader(feed(0, 500, 1500, 2500)), &out1, &err1); code != 0 {
-		t.Fatalf("first run exited %d: %s", code, err1.String())
-	}
-	if want := fmt.Sprintf("[%d, %d)", t0, t0+1000); !strings.Contains(out1.String(), want) {
-		t.Fatalf("first run missing window %s:\n%s", want, out1.String())
-	}
-	if !strings.Contains(err1.String(), "checkpoint: wrote") {
-		t.Fatalf("first run wrote no checkpoint: %s", err1.String())
-	}
-
-	var out2, err2 strings.Builder
-	if code := run(context.Background(), args, strings.NewReader(feed(3500, 4500, 9000)), &out2, &err2); code != 0 {
-		t.Fatalf("second run exited %d: %s", code, err2.String())
-	}
-	if !strings.Contains(err2.String(), "checkpoint: restored state from") {
-		t.Fatalf("second run did not restore: %s", err2.String())
-	}
-	if want := fmt.Sprintf("[%d, %d)", t0+4000, t0+5000); !strings.Contains(out2.String(), want) {
-		t.Fatalf("restored run missing continuation window %s (rebase offset not resumed?):\n%s", want, out2.String())
+	for _, args := range [][]string{
+		{"-window", "sliding", "-length", "10000", "-slide", "1000", "-agg", "sum"},
+		{"-window", "tumbling", "-length", "5000", "-agg", "p90"},
+		{"-window", "session", "-gap", "1000", "-agg", "sum"},
+		{"-windows", "sliding:10000:1000,tumbling:5000", "-agg", "p90"},
+	} {
+		want := runScotty(t, args, plain.String())
+		got := runScotty(t, append([]string{"-keyed"}, args...), keyed.String())
+		if strings.Count(want, "\n") < 2 {
+			t.Fatalf("%v: too few rows to compare:\n%s", args, want)
+		}
+		if got != "k0\t"+strings.ReplaceAll(strings.TrimSuffix(want, "\n"), "\n", "\nk0\t")+"\n" {
+			t.Fatalf("%v: keyed output is not the unkeyed output with k0 rows:\n%s\nunkeyed:\n%s", args, got, want)
+		}
 	}
 }
 

@@ -229,3 +229,82 @@ func TestFleetMetricsOnEndpoint(t *testing.T) {
 		t.Fatalf("scotty exited %d: %s", code, errOut.String())
 	}
 }
+
+// TestCheckpointMetricsEveryMode pins that a -checkpoint-dir run reports its
+// checkpoint activity under the engine's series in every mode: a run that
+// restored final.sck counts one recovery, and the snapshot size and latency
+// histograms are registered before the final write observes them.
+func TestCheckpointMetricsEveryMode(t *testing.T) {
+	for _, mode := range csvModes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-window", "tumbling", "-length", "1000", "-agg", "sum", "-checkpoint-dir", dir}, mode.args...)
+			var first strings.Builder
+			for _, ts := range []int64{0, 500, 1500} {
+				fmt.Fprintf(&first, mode.line, ts)
+			}
+			runScotty(t, args, first.String())
+
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			var out, errOut syncBuffer
+			done := make(chan int, 1)
+			go func() {
+				done <- run(context.Background(), append(args, "-metrics", "127.0.0.1:0"), pr, &out, &errOut)
+				pr.Close()
+			}()
+			var base string
+			deadline := time.Now().Add(5 * time.Second)
+			for base == "" {
+				if m := metricsURL.FindStringSubmatch(errOut.String()); m != nil {
+					base = m[1]
+				} else if time.Now().After(deadline) {
+					t.Fatalf("no metrics URL on stderr:\n%s", errOut.String())
+				} else {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			// The restore happens after the endpoint is up: poll for it.
+			var seen map[string]obs.MetricJSON
+			for {
+				resp, err := http.Get(base + "/metrics?format=json")
+				if err != nil {
+					t.Fatalf("GET /metrics: %v", err)
+				}
+				var snap struct {
+					Metrics []obs.MetricJSON `json:"metrics"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("metrics JSON: %v", err)
+				}
+				seen = map[string]obs.MetricJSON{}
+				for _, m := range snap.Metrics {
+					seen[m.Name] = m
+				}
+				if r := seen["engine_recoveries_total"]; r.Value != nil && *r.Value == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("engine_recoveries_total never reached 1: %+v", seen["engine_recoveries_total"])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			for _, name := range []string{"checkpoint_bytes", "checkpoint_duration_ms"} {
+				if _, ok := seen[name]; !ok {
+					t.Errorf("%s not registered", name)
+				}
+			}
+
+			fmt.Fprintf(pw, mode.line, 2500)
+			pw.Close()
+			if code := <-done; code != 0 {
+				t.Fatalf("second run exited %d: %s", code, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), "checkpoint: restored state from") {
+				t.Fatalf("second run did not restore: %s", errOut.String())
+			}
+		})
+	}
+}

@@ -24,7 +24,6 @@ func TestRobustnessFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-backpressure", "bogus", "-demo", "10"},
 		{"-backpressure", "shed", "-keyed", "-demo", "10"},
-		{"-breaker", "-keyed", "-demo", "10"},
 		{"-dlq-dir", t.TempDir(), "-demo", "10"},
 	}
 	for _, args := range cases {
@@ -108,72 +107,87 @@ var breakerSummary = regexp.MustCompile(`breaker: (\d+) rows dead-lettered \(tri
 // that rejects its first writes: the breaker must trip, the rejected rows
 // must land in the DLQ with exact counts, and after the cooldown the
 // half-open probe must recover the sink so the tail of the stream is
-// delivered normally.
+// delivered normally. Keyed rows take the same guarded egress.
 func TestBreakerDLQWithFlakyOutput(t *testing.T) {
-	dlqDir := t.TempDir()
-	pr, pw := io.Pipe()
-	out := &flakyWriter{failCalls: 5}
-	var errOut syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run(context.Background(),
-			[]string{"-window", "tumbling", "-length", "2000", "-agg", "sum",
-				"-breaker", "-dlq-dir", dlqDir},
-			pr, out, &errOut)
-	}()
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"unkeyed", nil},
+		{"keyed", []string{"-keyed"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dlqDir := t.TempDir()
+			pr, pw := io.Pipe()
+			out := &flakyWriter{failCalls: 5}
+			var errOut syncBuffer
+			done := make(chan int, 1)
+			go func() {
+				done <- run(context.Background(),
+					append([]string{"-window", "tumbling", "-length", "2000", "-agg", "sum",
+						"-breaker", "-dlq-dir", dlqDir}, mode.args...),
+					pr, out, &errOut)
+				// A run that exits early fails the writes below instead of
+				// leaving them blocked.
+				pr.Close()
+			}()
 
-	// Phase 1: enough stream to emit several result batches into the failing
-	// writer — retries exhaust, the breaker trips, batches dead-letter.
-	for i := 0; i < 200; i++ {
-		if _, err := fmt.Fprintf(pw, "%d,1\n", i*100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Let the breaker's 100ms cooldown elapse while the stream is quiet.
-	time.Sleep(150 * time.Millisecond)
-	// Phase 2: the writer has healed; the first emission is the half-open
-	// probe, which must succeed, recover the breaker, and deliver the tail.
-	for i := 200; i < 400; i++ {
-		if _, err := fmt.Fprintf(pw, "%d,1\n", i*100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pw.Close()
-	if code := <-done; code != 0 {
-		t.Fatalf("scotty exited %d: %s", code, errOut.String())
-	}
+			// Phase 1: enough stream to emit several result batches into the
+			// failing writer — retries exhaust, the breaker trips, batches
+			// dead-letter.
+			for i := 0; i < 200; i++ {
+				if _, err := fmt.Fprintf(pw, "%d,1\n", i*100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Let the breaker's 100ms cooldown elapse while the stream is quiet.
+			time.Sleep(150 * time.Millisecond)
+			// Phase 2: the writer has healed; the first emission is the
+			// half-open probe, which must succeed, recover the breaker, and
+			// deliver the tail.
+			for i := 200; i < 400; i++ {
+				if _, err := fmt.Fprintf(pw, "%d,1\n", i*100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pw.Close()
+			if code := <-done; code != 0 {
+				t.Fatalf("scotty exited %d: %s", code, errOut.String())
+			}
 
-	m := breakerSummary.FindStringSubmatch(errOut.String())
-	if m == nil {
-		t.Fatalf("no breaker summary on stderr:\n%s", errOut.String())
-	}
-	dead, _ := strconv.Atoi(m[1])
-	trips, _ := strconv.Atoi(m[2])
-	recoveries, _ := strconv.Atoi(m[3])
-	if dead <= 0 || trips <= 0 {
-		t.Fatalf("breaker summary shows no losses/trips: %s", m[0])
-	}
-	if recoveries <= 0 {
-		t.Fatalf("breaker never recovered after the writer healed: %s", m[0])
-	}
-	if !strings.Contains(out.String(), "\t n=") {
-		t.Fatalf("no rows delivered after recovery:\n%s", out.String())
-	}
+			m := breakerSummary.FindStringSubmatch(errOut.String())
+			if m == nil {
+				t.Fatalf("no breaker summary on stderr:\n%s", errOut.String())
+			}
+			dead, _ := strconv.Atoi(m[1])
+			trips, _ := strconv.Atoi(m[2])
+			recoveries, _ := strconv.Atoi(m[3])
+			if dead <= 0 || trips <= 0 {
+				t.Fatalf("breaker summary shows no losses/trips: %s", m[0])
+			}
+			if recoveries <= 0 {
+				t.Fatalf("breaker never recovered after the writer healed: %s", m[0])
+			}
+			if !strings.Contains(out.String(), "\t n=") {
+				t.Fatalf("no rows delivered after recovery:\n%s", out.String())
+			}
 
-	// The DLQ must hold exactly the rows the summary counted.
-	recs, err := ops.ReadDLQ(filepath.Join(dlqDir, "rows.dlq"))
-	if err != nil {
-		t.Fatalf("reading DLQ: %v", err)
-	}
-	var dlqRows int
-	for _, r := range recs {
-		dlqRows += r.Count
-		if r.Reason == "" || len(r.Payload) == 0 {
-			t.Fatalf("malformed DLQ record: %+v", r)
-		}
-	}
-	if dlqRows != dead {
-		t.Fatalf("DLQ holds %d rows, summary reported %d dead-lettered", dlqRows, dead)
+			// The DLQ must hold exactly the rows the summary counted.
+			recs, err := ops.ReadDLQ(filepath.Join(dlqDir, "rows.dlq"))
+			if err != nil {
+				t.Fatalf("reading DLQ: %v", err)
+			}
+			var dlqRows int
+			for _, r := range recs {
+				dlqRows += r.Count
+				if r.Reason == "" || len(r.Payload) == 0 {
+					t.Fatalf("malformed DLQ record: %+v", r)
+				}
+			}
+			if dlqRows != dead {
+				t.Fatalf("DLQ holds %d rows, summary reported %d dead-lettered", dlqRows, dead)
+			}
+		})
 	}
 }
 

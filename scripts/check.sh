@@ -26,11 +26,13 @@ else
   go test -shuffle=on -count=1 ./...
 fi
 
-echo '== go test -race -short (engine, ops, core, stream, obs)'
+echo '== go test -race -short (engine, ops, core, stream, obs, scotty)'
 # The engine leg covers the batched pipeline too (BatchProcessor handoff,
 # buffer-pool recycling, keyed ProcessBatch behind parallel partitions); the
-# ops leg hammers the backpressure edges, breaker, and DLQ under concurrency.
-go test -race -short ./internal/engine ./internal/ops ./internal/core ./internal/stream ./internal/obs
+# ops leg hammers the backpressure edges, breaker, and DLQ under concurrency;
+# the scotty leg runs the CLI's stdin reader, backpressure edge and metrics
+# server goroutines against its run loop.
+go test -race -short ./internal/engine ./internal/ops ./internal/core ./internal/stream ./internal/obs ./cmd/scotty
 
 echo '== chaos: crash/torn-snapshot/barrier-fault equivalence'
 # The fault-injection harness kills every technique at seeded points and
